@@ -16,9 +16,9 @@ RACE_PKGS := . ./internal/transport/ ./internal/core/ ./internal/unlinksort/ ./i
 FUZZ_PKGS := ./internal/group/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/transport/
 FUZZ_TIME ?= 2s
 
-.PHONY: check vet build test race race-full fuzz chaos chaos-byz chaos-rankd bench bench-json bench-compare trace-demo demo-distributed telemetry-demo serve-demo loadtest-smoke clean
+.PHONY: check vet build test test-386 race race-full fuzz chaos chaos-byz chaos-rankd bench bench-json bench-compare trace-demo demo-distributed telemetry-demo serve-demo loadtest-smoke clean
 
-check: vet build test race fuzz chaos-rankd serve-demo loadtest-smoke
+check: vet build test test-386 race fuzz chaos-rankd serve-demo loadtest-smoke
 
 # staticcheck is optional tooling: run it when the developer has it
 # installed, stay silent (and green) when they do not.
@@ -31,6 +31,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The group and ElGamal layers on a 32-bit target, where big.Word is 32
+# bits wide: the secp160r1 limb field converts to and from math/big by
+# word, so a conversion that assumes 64-bit words fails here first.
+test-386:
+	GOARCH=386 $(GO) test ./internal/group/ ./internal/elgamal/
 
 # Short mode keeps the race pass fast; the full chaos sweep runs
 # race-free in `test` and under the detector via `make race-full`.

@@ -92,12 +92,13 @@ func curveGroups() map[string]*ECGroup {
 }
 
 // Secp160r1 returns the 160-bit SEC2 curve used by the paper's ECC
-// framework (80-bit security), with the fast limb-arithmetic scalar
-// multiplication of secp160fast.go.
+// framework (80-bit security), on the limb field of secp160fast.go.
+// ByName("secp160r1") returns the same group.
 func Secp160r1() Group { return fastSecp160{ECGroup: curveGroups()["secp160r1"]} }
 
 // Secp160r1Generic returns the same curve with the generic math/big
-// arithmetic; tests and the ablation benchmark compare the two.
+// arithmetic. It is the oracle the tests and the ablation benchmark
+// compare Secp160r1 against; no protocol path uses it.
 func Secp160r1Generic() *ECGroup { return curveGroups()["secp160r1"] }
 
 // Secp224r1 returns NIST P-224 (112-bit security).
@@ -117,7 +118,9 @@ func ByName(name string) (Group, error) {
 		return MODP2048(), nil
 	case "modp-3072":
 		return MODP3072(), nil
-	case "secp160r1", "secp224r1", "secp256r1":
+	case "secp160r1":
+		return Secp160r1(), nil
+	case "secp224r1", "secp256r1":
 		return curveGroups()[name], nil
 	case "toy-dl-256":
 		return ToyDL256()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 )
 
 // ECGroup is a prime-order group of points on a short-Weierstrass curve
@@ -285,23 +286,49 @@ func (g *ECGroup) Exp(a Element, k *big.Int) Element {
 
 // wnafDigits returns the width-w non-adjacent form of e (little-endian):
 // each digit is zero or odd in (−2^w/2, 2^w/2), with at most one non-zero
-// digit in any w consecutive positions.
+// digit in any w consecutive positions. It works on a copy of e in
+// 64-bit limbs, whatever the width of big.Word.
 func wnafDigits(e *big.Int, w uint) []int8 {
-	mod := int64(1) << w
-	x := new(big.Int).Set(e)
-	out := make([]int8, 0, x.BitLen()+1)
-	tmp := new(big.Int)
-	for x.Sign() > 0 {
-		var d int64
-		if x.Bit(0) == 1 {
-			d = tmp.And(x, big.NewInt(mod-1)).Int64()
-			if d >= mod/2 {
-				d -= mod
+	// One spare limb takes the carry a negative digit adds.
+	x := make([]uint64, (e.BitLen()+63)/64+1)
+	for i, word := range e.Bits() {
+		bit := i * bits.UintSize
+		x[bit/64] |= uint64(word) << (bit % 64)
+	}
+	mask := uint64(1)<<w - 1
+	out := make([]int8, 0, e.BitLen()+1)
+	top := len(x) - 1
+	for top >= 0 && x[top] == 0 {
+		top--
+	}
+	for top >= 0 {
+		var d int8
+		if x[0]&1 == 1 {
+			v := x[0] & mask
+			if v < 1<<(w-1) {
+				// x −= v clears the low w bits: no borrow.
+				d = int8(v)
+				x[0] -= v
+			} else {
+				// x += 2^w − v clears them too, with a carry.
+				d = int8(int64(v) - int64(mask) - 1)
+				c := mask + 1 - v
+				for i := 0; c != 0 && i < len(x); i++ {
+					x[i], c = bits.Add64(x[i], c, 0)
+				}
+				if top+1 < len(x) && x[top+1] != 0 {
+					top++
+				}
 			}
-			x.Sub(x, big.NewInt(d))
 		}
-		out = append(out, int8(d))
-		x.Rsh(x, 1)
+		out = append(out, d)
+		for i := 0; i < top; i++ {
+			x[i] = x[i]>>1 | x[i+1]<<63
+		}
+		x[top] >>= 1
+		for top >= 0 && x[top] == 0 {
+			top--
+		}
 	}
 	return out
 }
@@ -353,6 +380,12 @@ func (g *ECGroup) AppendElement(dst []byte, a Element) []byte {
 // off-curve point. Only fixed-width encodings are accepted, so every
 // element has exactly one valid encoding.
 func (g *ECGroup) Decode(data []byte) (Element, error) {
+	return g.decode(data, g.liftX)
+}
+
+// decode parses a compressed point; liftX recovers the Y of the tagged
+// parity, or reports that X is not the abscissa of a curve point.
+func (g *ECGroup) decode(data []byte, liftX func(x *big.Int, odd bool) (*big.Int, bool)) (Element, error) {
 	if len(data) != g.elemLen {
 		return nil, fmt.Errorf("group: malformed %s point encoding", g.name)
 	}
@@ -371,7 +404,15 @@ func (g *ECGroup) Decode(data []byte) (Element, error) {
 	if x.Cmp(g.p) >= 0 {
 		return nil, fmt.Errorf("group: %s point is not on the curve", g.name)
 	}
-	// y² = x³ + ax + b
+	y, ok := liftX(x, data[0]&1 == 1)
+	if !ok {
+		return nil, fmt.Errorf("group: %s point is not on the curve", g.name)
+	}
+	return ecPoint{x: x, y: y}, nil
+}
+
+// liftX solves y² = x³ + ax + b for the root of the requested parity.
+func (g *ECGroup) liftX(x *big.Int, odd bool) (*big.Int, bool) {
 	rhs := new(big.Int).Mul(x, x)
 	rhs.Mul(rhs, x)
 	rhs.Add(rhs, new(big.Int).Mul(g.a, x))
@@ -379,17 +420,17 @@ func (g *ECGroup) Decode(data []byte) (Element, error) {
 	rhs.Mod(rhs, g.p)
 	y := new(big.Int).ModSqrt(rhs, g.p)
 	if y == nil {
-		return nil, fmt.Errorf("group: %s point is not on the curve", g.name)
+		return nil, false
 	}
-	if uint(data[0]&1) != y.Bit(0) {
+	if (y.Bit(0) == 1) != odd {
 		if y.Sign() == 0 {
 			// y = 0 would be a point of order 2, impossible in a
 			// prime-order group; its only valid tag is the even one.
-			return nil, fmt.Errorf("group: %s point is not on the curve", g.name)
+			return nil, false
 		}
 		y.Sub(g.p, y)
 	}
-	return ecPoint{x: x, y: y}, nil
+	return y, true
 }
 
 // ElementLen implements Group.

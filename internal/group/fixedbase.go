@@ -168,7 +168,11 @@ func newECComb(g *ECGroup, base Element, w uint) func(*big.Int) Element {
 	}
 }
 
-// newFe160Comb is the comb over the dedicated secp160r1 limb field.
+// newFe160Comb is the comb over the dedicated secp160r1 limb field. The
+// table is built in Jacobian coordinates and normalised to affine with
+// one shared inversion, so every lookup is a mixed addition. No entry
+// is the identity: d·2^(i·w) with d < 2^w is never a multiple of the
+// prime order n > 2^w.
 func newFe160Comb(g *ECGroup, base Element, w uint) func(*big.Int) Element {
 	pt := g.unwrap(base)
 	if pt.inf {
@@ -176,33 +180,27 @@ func newFe160Comb(g *ECGroup, base Element, w uint) func(*big.Int) Element {
 		// generic path (identity^k is the identity anyway).
 		return func(*big.Int) Element { return ecPoint{inf: true} }
 	}
-	b := jac160{x: fe160FromBig(pt.x), y: fe160FromBig(pt.y), z: fe160{1, 0, 0}}
+	b := jac160FromAffine(pt)
 	nWin := (g.n.BitLen() + int(w) - 1) / int(w)
 	size := (1 << w) - 1
-	windows := make([][]jac160, nWin)
+	entries := make([]jac160, 0, nWin*size)
 	for i := 0; i < nWin; i++ {
-		windows[i] = make([]jac160, size)
-		windows[i][0] = b
+		row := len(entries)
+		entries = append(entries, b)
 		for d := 1; d < size; d++ {
-			windows[i][d] = add160(windows[i][d-1], b)
+			entries = append(entries, add160(entries[row+d-1], b))
 		}
-		b = add160(windows[i][size-1], b)
+		b = add160(entries[row+size-1], b)
 	}
+	table := normalize160(entries)
 	return func(e *big.Int) Element {
 		var acc jac160
 		for i, d := range combDigits(e, w) {
 			if d != 0 {
-				acc = add160(acc, windows[i][d-1])
+				acc = madd160(acc, table[i*size+int(d)-1])
 			}
 		}
-		if acc.z.isZero() {
-			return ecPoint{inf: true}
-		}
-		zInv := fe160Inv(acc.z)
-		zInv2 := fe160Sqr(zInv)
-		x := fe160Mul(acc.x, zInv2)
-		y := fe160Mul(acc.y, fe160Mul(zInv2, zInv))
-		return ecPoint{x: x.big(), y: y.big()}
+		return acc.affine()
 	}
 }
 

@@ -2,7 +2,6 @@ package group
 
 import (
 	"bytes"
-	"math/big"
 	"testing"
 )
 
@@ -28,14 +27,22 @@ func FuzzDLDecode(f *testing.F) {
 }
 
 func FuzzECDecode(f *testing.F) {
-	g := Secp160r1Generic()
+	g, fast := Secp160r1Generic(), Secp160r1()
 	f.Add(g.Encode(g.Generator()))
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x04, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := g.Decode(data)
+		// The limb Decode must accept and reject exactly the same input.
+		fe, ferr := fast.Decode(data)
+		if (err == nil) != (ferr == nil) || (err != nil && err.Error() != ferr.Error()) {
+			t.Fatalf("generic error %v, limb error %v", err, ferr)
+		}
 		if err != nil {
 			return
+		}
+		if !g.Equal(e, fe) {
+			t.Fatal("generic and limb Decode disagree")
 		}
 		if !bytes.Equal(g.Encode(e), data) {
 			t.Fatal("decode/encode not idempotent")
@@ -43,31 +50,16 @@ func FuzzECDecode(f *testing.F) {
 	})
 }
 
-func FuzzFe160MulAgainstBig(f *testing.F) {
-	p := fe160P.big()
+// FuzzFe160 checks every limb operation against math/big; see
+// checkFe160 for which operations take unreduced inputs.
+func FuzzFe160(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint64(3), uint64(4), uint64(5), uint64(6))
 	f.Add(^uint64(0), ^uint64(0), uint64(0xFFFFFFFF), ^uint64(0), ^uint64(0), uint64(0xFFFFFFFF))
+	f.Add(uint64(0xFFFFFFFF7FFFFFFE), ^uint64(0), uint64(0xFFFFFFFF), ^uint64(0), ^uint64(0), uint64(0xFFFFFFFF))
+	f.Add(^uint64(0), uint64(0), uint64(0), uint64(0), ^uint64(0), uint64(0))
 	f.Fuzz(func(t *testing.T, a0, a1, a2, b0, b1, b2 uint64) {
-		a := fe160{a0, a1, a2 & 0xFFFFFFFF}
-		b := fe160{b0, b1, b2 & 0xFFFFFFFF}
-		ab, bb := a.big(), b.big()
-		if ab.Cmp(p) >= 0 || bb.Cmp(p) >= 0 {
-			return // inputs must be reduced field elements
-		}
-		want := new(big.Int).Mul(ab, bb)
-		want.Mod(want, p)
-		if got := fe160Mul(a, b).big(); got.Cmp(want) != 0 {
-			t.Fatalf("mul(%x, %x): got %x want %x", ab, bb, got, want)
-		}
-		wantAdd := new(big.Int).Add(ab, bb)
-		wantAdd.Mod(wantAdd, p)
-		if got := fe160Add(a, b).big(); got.Cmp(wantAdd) != 0 {
-			t.Fatalf("add(%x, %x): got %x want %x", ab, bb, got, wantAdd)
-		}
-		wantSub := new(big.Int).Sub(ab, bb)
-		wantSub.Mod(wantSub, p)
-		if got := fe160Sub(a, b).big(); got.Cmp(wantSub) != 0 {
-			t.Fatalf("sub(%x, %x): got %x want %x", ab, bb, got, wantSub)
-		}
+		a := fe160{a0, a1, a2 & fe160Mask32}
+		b := fe160{b0, b1, b2 & fe160Mask32}
+		checkFe160(t, a.big(), b.big())
 	})
 }

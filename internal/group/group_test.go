@@ -245,6 +245,11 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Error("unknown name accepted")
 	}
+	// Every public entry point resolves secp160r1 by name and must
+	// reach the limb field, not the generic oracle.
+	if g, _ := ByName("secp160r1"); g != Secp160r1() {
+		t.Errorf("ByName(\"secp160r1\") returned %T, want the limb-field group", g)
+	}
 }
 
 func TestSecurityLevelsMatchGroups(t *testing.T) {
@@ -368,35 +373,41 @@ func TestGobRoundTripElements(t *testing.T) {
 }
 
 func TestWNAFDigits(t *testing.T) {
-	// Reconstruction: Σ d_i·2^i = e; digits odd or zero, |d| < 8; no two
-	// non-zero digits within 4 positions.
+	// Reconstruction: Σ d_i·2^i = e; digits odd or zero, |d| < 2^(w−1);
+	// no two non-zero digits within w positions; the top digit positive.
+	// Runs of ones make the top digit carry past the scalar's length.
+	one := big.NewInt(1)
 	rng := fixedbig.NewDRBG("wnaf")
-	for trial := 0; trial < 100; trial++ {
-		e, err := fixedbig.RandBits(rng, 80)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.Sign() == 0 {
-			continue
-		}
-		digits := wnafDigits(e, 4)
-		sum := new(big.Int)
-		lastNonZero := -10
-		for i, d := range digits {
-			if d != 0 {
-				if d%2 == 0 || d > 7 || d < -7 {
-					t.Fatalf("digit %d at %d out of wNAF range", d, i)
-				}
-				if i-lastNonZero < 4 {
-					t.Fatalf("non-zero digits at %d and %d violate the NAF property", lastNonZero, i)
-				}
-				lastNonZero = i
+	var scalars []*big.Int
+	for _, k := range []uint{1, 4, 31, 32, 63, 64, 65, 127, 128, 160, 161, 255, 256} {
+		all := new(big.Int).Sub(new(big.Int).Lsh(one, k), one)
+		scalars = append(scalars, all, new(big.Int).Lsh(one, k), new(big.Int).Sub(all, big.NewInt(8)))
+	}
+	for i := 0; i < 200; i++ {
+		e, _ := fixedbig.RandBits(rng, 256)
+		scalars = append(scalars, e)
+	}
+	for _, w := range []uint{2, 4, 5} {
+		for _, e := range scalars {
+			if e.Sign() <= 0 {
+				continue
 			}
-			term := new(big.Int).Lsh(big.NewInt(int64(d)), uint(i))
-			sum.Add(sum, term)
-		}
-		if sum.Cmp(e) != 0 {
-			t.Fatalf("wNAF reconstruction: got %s, want %s", sum, e)
+			digits := wnafDigits(e, w)
+			sum := new(big.Int)
+			last := -int(w)
+			for i, d := range digits {
+				if d == 0 {
+					continue
+				}
+				if d%2 == 0 || int(d) >= 1<<(w-1) || int(d) <= -(1<<(w-1)) || i-last < int(w) {
+					t.Fatalf("w=%d e=%x: digit %d at %d breaks the wNAF form", w, e, d, i)
+				}
+				last = i
+				sum.Add(sum, new(big.Int).Lsh(big.NewInt(int64(d)), uint(i)))
+			}
+			if sum.Cmp(e) != 0 || digits[len(digits)-1] <= 0 {
+				t.Fatalf("w=%d: wNAF of %x reconstructs %x (top digit %d)", w, e, sum, digits[len(digits)-1])
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ func Validate(g Group, e Element) error {
 	case *DLGroup:
 		return cg.validateElement(e)
 	case fastSecp160:
-		return cg.ECGroup.validateElement(e)
+		return cg.validateElement(e)
 	case *ECGroup:
 		return cg.validateElement(e)
 	default:
@@ -70,6 +70,12 @@ func (d *DLGroup) validateElement(e Element) error {
 // curves in this repository all have cofactor 1, so on-curve already
 // implies membership in the prime-order group.
 func (g *ECGroup) validateElement(e Element) error {
+	return g.validatePoint(e, g.onCurve)
+}
+
+// validatePoint is validateElement with the curve-equation check
+// supplied, so the limb-field group can reuse the range checks.
+func (g *ECGroup) validatePoint(e Element, onCurve func(x, y *big.Int) bool) error {
 	pt, ok := e.(ecPoint)
 	if !ok {
 		return fmt.Errorf("group: element of type %T received for %s group", e, g.name)
@@ -82,7 +88,7 @@ func (g *ECGroup) validateElement(e Element) error {
 		pt.x.Cmp(g.p) >= 0 || pt.y.Cmp(g.p) >= 0 {
 		return fmt.Errorf("group: %s point coordinate out of range", g.name)
 	}
-	if !g.onCurve(pt.x, pt.y) {
+	if !onCurve(pt.x, pt.y) {
 		return fmt.Errorf("group: %s point is not on the curve", g.name)
 	}
 	return nil

@@ -772,6 +772,12 @@ func (s *MuxSession) RecvCtx(ctx context.Context, to, from, round int) (any, err
 	if from < 0 || from >= s.m.n || from == s.m.me {
 		return nil, fmt.Errorf("transport: invalid source %d", from)
 	}
+	// A session the caller closed, or whose mux it closed, fails at
+	// once with frames still queued: draining first is only for
+	// remote failures.
+	if s.closedLocally() {
+		return nil, Abort(from, round, "", ErrClosed)
+	}
 	if s.j != nil {
 		return s.recvRecovering(ctx, from, round)
 	}
@@ -781,8 +787,8 @@ func (s *MuxSession) RecvCtx(ctx context.Context, to, from, round int) (any, err
 		}
 		return env.Payload, nil
 	}
-	// Drain queued frames first so a failure never eats data that
-	// arrived before it.
+	// Drain queued frames first so a remote failure never eats data
+	// that arrived before it.
 	select {
 	case env := <-s.inbox[from]:
 		return take(env)
@@ -863,6 +869,19 @@ func (s *MuxSession) Stats() Stats {
 		out.PerRound[r] = rs
 	}
 	return out
+}
+
+// closedLocally reports whether Close was called on the session or on
+// its mux.
+func (s *MuxSession) closedLocally() bool {
+	select {
+	case <-s.closeCh:
+		return true
+	case <-s.m.closeCh:
+		return true
+	default:
+		return false
+	}
 }
 
 // Close detaches the session from the mux: its receives fail with

@@ -606,7 +606,9 @@ func (s *MuxSession) sendRecovering(round, to, bytes int, payload any) error {
 
 // recvRecovering is RecvCtx's body for journal-backed sessions:
 // journaled receives replay first, then live frames are accepted in
-// per-peer sequence order through the reorder stash.
+// per-peer sequence order through the reorder stash. RecvCtx has
+// already failed the receive if the session was closed locally, so
+// neither a replay nor a stashed frame outlives Close.
 func (s *MuxSession) recvRecovering(ctx context.Context, from, round int) (any, error) {
 	s.recvMu.Lock()
 	if q := s.replayRecvs[from]; len(q) > 0 {

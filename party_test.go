@@ -76,9 +76,6 @@ func TestRankPartyMatchesInProcess(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			if testing.Short() && tc.group == "secp160r1" {
-				t.Skip("EC groups are slow; covered by the full run")
-			}
 			t.Parallel()
 			q := demoQuestionnaire(t)
 			crit, profiles := demoData(t)
