@@ -199,7 +199,11 @@ var ErrSessionMismatch = core.ErrSessionMismatch
 // Result is the outcome of a framework run as seen by the simulation
 // harness (which plays every role and may therefore report all ranks).
 type Result struct {
-	// Ranks holds each participant's rank, 1 = best; ties share a rank.
+	// Ranks holds each participant's rank, 1 = best. Equal gains are
+	// ordered by the initiator's random offsets ρ_j, so tied
+	// participants usually get distinct consecutive ranks in an
+	// arbitrary order; they share a rank only when their masked gains
+	// also collide.
 	Ranks []int
 	// Submissions are the top-k disclosures the initiator received, in
 	// rank order, with the initiator's recomputed gains.
@@ -276,7 +280,9 @@ func RankCtx(ctx context.Context, q *Questionnaire, criterion Criterion, profile
 
 // ExpectedRanks computes the ground-truth ranking from plaintext gains.
 // It exists for tests and examples; no party of a real deployment can
-// evaluate it.
+// evaluate it. Equal gains share a rank here (1, 1, 3), whereas the
+// protocol orders them by the random offsets ρ_j (see Result.Ranks), so
+// with ties the two agree only up to the order within each tied group.
 func ExpectedRanks(q *Questionnaire, criterion Criterion, profiles []Profile) ([]int, error) {
 	return core.ExpectedRanks(q, criterion, profiles)
 }

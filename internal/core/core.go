@@ -253,7 +253,10 @@ func RegisterWire() {
 
 // ExpectedRanks computes the ground-truth descending ranks from the
 // plaintext gains (test and example helper; a deployment cannot do
-// this).
+// this). Equal gains share a rank here (1, 1, 3); the protocol instead
+// orders them by the random offsets ρ_j and gives tied participants
+// distinct ranks unless their masked gains collide, so with ties the
+// two agree only up to the order within each tied group.
 func ExpectedRanks(q *workload.Questionnaire, crit workload.Criterion, profiles []workload.Profile) ([]int, error) {
 	gains := make([]*big.Int, len(profiles))
 	for i, p := range profiles {

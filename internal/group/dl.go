@@ -6,8 +6,6 @@ import (
 	"io"
 	"math/big"
 	"sync"
-
-	"groupranking/internal/fixedbig"
 )
 
 // DLGroup is the multiplicative group of quadratic residues modulo a safe
@@ -21,6 +19,8 @@ type DLGroup struct {
 	g        *big.Int // generator of the order-q subgroup
 	elemLen  int      // byte length of p
 	secLevel int
+	pLimbs   []uint64 // p in 64-bit limbs, for the Jacobi membership check
+	field    *dlField // Montgomery limb field when p < 2^256, else nil
 }
 
 // dlElement wraps a residue in [1, p).
@@ -48,6 +48,8 @@ func NewDLGroup(name string, p *big.Int, secLevel int) (*DLGroup, error) {
 	if big.Jacobi(g, p) != 1 {
 		g = big.NewInt(4) // 4 = 2² is always a quadratic residue
 	}
+	pLimbs := make([]uint64, (p.BitLen()+63)/64)
+	limbsFromBig(pLimbs, p)
 	return &DLGroup{
 		name:     name,
 		p:        p,
@@ -55,6 +57,8 @@ func NewDLGroup(name string, p *big.Int, secLevel int) (*DLGroup, error) {
 		g:        g,
 		elemLen:  (p.BitLen() + 7) / 8,
 		secLevel: secLevel,
+		pLimbs:   pLimbs,
+		field:    newDLField(p),
 	}, nil
 }
 
@@ -104,7 +108,13 @@ func (d *DLGroup) unwrap(e Element) *big.Int {
 
 // Op implements Group.
 func (d *DLGroup) Op(a, b Element) Element {
-	r := new(big.Int).Mul(d.unwrap(a), d.unwrap(b))
+	va, vb := d.unwrap(a), d.unwrap(b)
+	if x, ok := d.limbs(va); ok {
+		if y, ok := d.limbs(vb); ok {
+			return dlElement{v: d.field.mulPlain(&x, &y)}
+		}
+	}
+	r := new(big.Int).Mul(va, vb)
 	return dlElement{v: r.Mod(r, d.p)}
 }
 
@@ -125,6 +135,9 @@ func (d *DLGroup) Exp(a Element, k *big.Int) Element {
 		return generatorTable(d).Exp(k)
 	}
 	e := new(big.Int).Mod(k, d.q) // element order divides q
+	if x, ok := d.limbs(v); ok {
+		return dlElement{v: d.field.exp(x, e)}
+	}
 	return dlElement{v: new(big.Int).Exp(v, e, d.p)}
 }
 
@@ -164,10 +177,33 @@ func (d *DLGroup) Decode(data []byte) (Element, error) {
 	if v.Sign() == 0 || v.Cmp(d.p) >= 0 {
 		return nil, fmt.Errorf("group: %s element out of range", d.name)
 	}
-	if big.Jacobi(v, d.p) != 1 {
+	if !d.isResidue(v) {
 		return nil, fmt.Errorf("group: %s element is not in the quadratic-residue subgroup", d.name)
 	}
 	return dlElement{v: v}, nil
+}
+
+// isResidue reports whether v ∈ [1, p) is a quadratic residue mod p,
+// by the limb Jacobi symbol.
+func (d *DLGroup) isResidue(v *big.Int) bool {
+	n := len(d.pLimbs)
+	s := make([]uint64, 2*n)
+	limbsFromBig(s[:n], v)
+	copy(s[n:], d.pLimbs)
+	return jacobiLimbs(s[:n], s[n:]) == 1
+}
+
+// limbs returns v as plain limbs for the group's limb field. It reports
+// false when the group has no limb field or v is not a canonical
+// residue in [0, p); the caller then takes the math/big path, which
+// reduces any input exactly as before.
+func (d *DLGroup) limbs(v *big.Int) (fe256, bool) {
+	var x fe256
+	if d.field == nil || v.Sign() < 0 || v.Cmp(d.p) >= 0 {
+		return x, false
+	}
+	limbsFromBig(x[:], v)
+	return x, true
 }
 
 // ElementLen implements Group.
@@ -181,29 +217,19 @@ func (d *DLGroup) RandomScalar(rng io.Reader) (*big.Int, error) {
 // SecurityBits implements Group.
 func (d *DLGroup) SecurityBits() int { return d.secLevel }
 
-var (
-	_toyOnce sync.Once
-	_toyDL   *DLGroup
-	_toyErr  error
-)
+// _toyDL256Hex is the toy-dl-256 safe prime. It was found by a
+// deterministic DRBG search for a 255-bit Sophie Germain prime q with
+// p = 2q+1 prime; TestToyDL256Prime re-derives it, so the constant and
+// its provenance cannot drift apart, and no process pays for the search.
+const _toyDL256Hex = "fa0f747ac883fbf17269eb7f1f3d97ac15877826d6d06028bbae891e3f8af0db"
 
-// ToyDL256 returns a deterministically generated 256-bit safe-prime
-// group. It is far below any real security level and exists so examples
-// and demos run in seconds; production configurations use the fixed
-// MODP or SEC2 groups.
-func ToyDL256() (*DLGroup, error) {
-	_toyOnce.Do(func() {
-		q, err := fixedbig.Prime(fixedbig.NewDRBG("groupranking-toy-dl-256"), 255)
-		for err == nil {
-			p := new(big.Int).Lsh(q, 1)
-			p.Add(p, big.NewInt(1))
-			if p.ProbablyPrime(32) {
-				_toyDL, _toyErr = NewDLGroup("toy-dl-256", p, 40)
-				return
-			}
-			q, err = fixedbig.Prime(fixedbig.NewDRBG(fmt.Sprintf("groupranking-toy-dl-256-%s", q)), 255)
-		}
-		_toyErr = err
-	})
-	return _toyDL, _toyErr
-}
+var toyDL256 = sync.OnceValues(func() (*DLGroup, error) {
+	p, _ := new(big.Int).SetString(_toyDL256Hex, 16)
+	return NewDLGroup("toy-dl-256", p, 40)
+})
+
+// ToyDL256 returns the pinned 256-bit safe-prime group. It is far below
+// any real security level and exists so examples and demos run in
+// seconds; production configurations use the fixed MODP or SEC2
+// groups.
+func ToyDL256() (*DLGroup, error) { return toyDL256() }

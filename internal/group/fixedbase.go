@@ -96,22 +96,30 @@ func (t *FixedBaseTable) Exp(k *big.Int) Element {
 }
 
 // combDigits splits e (already reduced, positive) into base-2^w digits,
-// little-endian.
+// little-endian, reading them straight off 64-bit limbs.
 func combDigits(e *big.Int, w uint) []uint {
 	bits := e.BitLen()
+	// One spare zero limb lets the top window read past the last limb.
+	l := make([]uint64, (bits+63)/64+1)
+	limbsFromBig(l, e)
 	digits := make([]uint, (bits+int(w)-1)/int(w))
 	for i := range digits {
-		var d uint
-		for b := 0; b < int(w); b++ {
-			d |= e.Bit(i*int(w)+b) << b
+		bit := uint(i) * w
+		d := l[bit/64] >> (bit % 64)
+		if bit%64+w > 64 {
+			d |= l[bit/64+1] << (64 - bit%64)
 		}
-		digits[i] = d
+		digits[i] = uint(d & (1<<w - 1))
 	}
 	return digits
 }
 
-// newDLComb builds windows[i][d-1] = base^(d·2^(i·w)) as residues.
+// newDLComb builds windows[i][d-1] = base^(d·2^(i·w)) as residues, in
+// the limb field's Montgomery form when the group has one.
 func newDLComb(g *DLGroup, base Element, w uint) func(*big.Int) Element {
+	if x, ok := g.limbs(g.unwrap(base)); ok {
+		return newDLFieldComb(g.field, x, g.q.BitLen(), w)
+	}
 	b := new(big.Int).Set(g.unwrap(base))
 	nWin := (g.q.BitLen() + int(w) - 1) / int(w)
 	size := (1 << w) - 1
@@ -137,6 +145,39 @@ func newDLComb(g *DLGroup, base Element, w uint) func(*big.Int) Element {
 			acc.Mod(acc, g.p)
 		}
 		return dlElement{v: acc}
+	}
+}
+
+// newDLFieldComb is newDLComb over the limb field: one Montgomery
+// multiplication per nonzero window, and one more to leave Montgomery
+// form at the end.
+func newDLFieldComb(f *dlField, base fe256, orderBits int, w uint) func(*big.Int) Element {
+	var b fe256
+	f.toMont(&b, &base)
+	nWin := (orderBits + int(w) - 1) / int(w)
+	size := (1 << w) - 1
+	table := make([]fe256, nWin*size)
+	for i := 0; i < nWin; i++ {
+		row := table[i*size : (i+1)*size]
+		row[0] = b
+		for d := 1; d < size; d++ {
+			f.mul(&row[d], &row[d-1], &b)
+		}
+		f.mul(&b, &row[size-1], &b)
+	}
+	return func(e *big.Int) Element {
+		var acc fe256
+		started := false
+		for i, d := range combDigits(e, w) {
+			switch {
+			case d == 0:
+			case started:
+				f.mul(&acc, &acc, &table[i*size+int(d)-1])
+			default:
+				acc, started = table[i*size+int(d)-1], true
+			}
+		}
+		return dlElement{v: f.fromMont(&acc)}
 	}
 }
 

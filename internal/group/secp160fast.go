@@ -40,28 +40,13 @@ var (
 // fe160FromBig converts x ∈ [0, 2^192) to limbs, whatever the width of
 // big.Word on the platform.
 func fe160FromBig(x *big.Int) fe160 {
-	var out [3]uint64
-	for i, w := range x.Bits() {
-		bit := i * bits.UintSize
-		if bit >= 192 {
-			break
-		}
-		out[bit/64] |= uint64(w) << (bit % 64)
-	}
-	return fe160{out[0], out[1], out[2]}
+	var l [3]uint64
+	limbsFromBig(l[:], x)
+	return fe160{l[0], l[1], l[2]}
 }
 
-// big returns f as a fresh big.Int whose word slice is the only
-// allocation besides the Int itself.
-func (f fe160) big() *big.Int {
-	limbs := [3]uint64{f.l0, f.l1, f.l2}
-	words := make([]big.Word, 192/bits.UintSize)
-	for i := range words {
-		bit := i * bits.UintSize
-		words[i] = big.Word(limbs[bit/64] >> (bit % 64))
-	}
-	return new(big.Int).SetBits(words)
-}
+// big returns f as a fresh big.Int.
+func (f fe160) big() *big.Int { return bigFromLimbs([]uint64{f.l0, f.l1, f.l2}) }
 
 func (f fe160) isZero() bool { return f.l0|f.l1|f.l2 == 0 }
 

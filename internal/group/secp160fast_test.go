@@ -399,12 +399,3 @@ func BenchmarkFe160Inv(b *testing.B) {
 	}
 	benchFe = x
 }
-
-func BenchmarkExpDL1024(b *testing.B) {
-	g := MODP1024()
-	k, _ := g.RandomScalar(fixedbig.NewDRBG("bench-dl"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Exp(g.Generator(), k)
-	}
-}

@@ -6,10 +6,11 @@ import (
 )
 
 // Validate checks that an element received from an untrusted peer is a
-// well-formed member of g. Gob decoding (wire.go) reconstructs elements
-// from raw coordinates without knowing which group they belong to, so
-// the protocol layer MUST call Validate on every foreign element before
-// using it: an off-curve point or a non-residue silently degrades the
+// well-formed member of g. The structural binwire decode (binwire.go),
+// the path every protocol message takes, and the gob fallback (wire.go)
+// both rebuild elements from raw residues or coordinates without knowing
+// which group they belong to, so the protocol layer MUST call Validate
+// on every foreign element before using it: an off-curve point or a non-residue silently degrades the
 // DDH group to one where the attacker can solve discrete logs on a
 // small-order twist (the classic invalid-curve attack).
 func Validate(g Group, e Element) error {
@@ -60,7 +61,7 @@ func (d *DLGroup) validateElement(e Element) error {
 	if v == nil || v.Sign() <= 0 || v.Cmp(d.p) >= 0 {
 		return fmt.Errorf("group: %s element out of range", d.name)
 	}
-	if big.Jacobi(v, d.p) != 1 {
+	if !d.isResidue(v) {
 		return fmt.Errorf("group: %s element is not in the quadratic-residue subgroup", d.name)
 	}
 	return nil

@@ -556,6 +556,16 @@ func (f *RecoveringTCPFabric) dialPeer(l *rlink) bool {
 // order, clears pending blame, and starts the reader pump.
 func (f *RecoveringTCPFabric) attach(l *rlink, conn net.Conn, rd *bufio.Reader, hello rhello) bool {
 	l.mu.Lock()
+	select {
+	case <-f.closeCh:
+		// Close may already have swept this link; a connection
+		// installed now would leave a pump reading it that Close never
+		// stops, and Close would wait for that pump forever.
+		l.mu.Unlock()
+		conn.Close()
+		return false
+	default:
+	}
 	if hello.Epoch < l.peerEpoch {
 		// A connection from before the peer's restart, delivered late.
 		l.mu.Unlock()
