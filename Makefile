@@ -7,7 +7,7 @@ GO ?= go
 # protocol party, fault-injection delays, TCP pumps, the lock-cheap
 # observability registry): these run under the race detector in short
 # mode as part of check.
-RACE_PKGS := . ./internal/transport/ ./internal/core/ ./internal/unlinksort/ ./internal/obsv/ ./internal/kernel/ ./internal/journal/ ./internal/blame/ ./internal/telemetry/ ./internal/tracemerge/ ./internal/service/ ./cmd/rankparty/ ./cmd/rankd/
+RACE_PKGS := . ./internal/transport/ ./internal/core/ ./internal/unlinksort/ ./internal/obsv/ ./internal/kernel/ ./internal/journal/ ./internal/blame/ ./internal/telemetry/ ./internal/tracemerge/ ./internal/service/ ./cmd/rankparty/ ./cmd/sortparty/ ./cmd/rankd/
 
 # Packages with fuzz targets guarding the untrusted decode boundaries
 # (group element parsing, wirecodec frames, transport pumps). `make

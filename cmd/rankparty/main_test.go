@@ -185,7 +185,7 @@ func TestSurvivorsAbortWhenParticipantKilled(t *testing.T) {
 	// — exactly how a participant killed right after connecting appears
 	// to its peers.
 	core.RegisterWire()
-	vic, err := transport.NewTCPFabric(addrs, victim, 10*time.Second)
+	vic, err := transport.NewTCPSession(addrs, victim, 10*time.Second, nil)
 	if err != nil {
 		t.Fatalf("victim could not join the mesh: %v", err)
 	}

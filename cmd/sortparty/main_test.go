@@ -118,7 +118,7 @@ func TestSurvivorsAbortWhenPeerKilled(t *testing.T) {
 	// protocol message — exactly how a party killed right after
 	// connecting appears to its peers.
 	unlinksort.RegisterWire()
-	vic, err := transport.NewTCPFabric(addrs, victim, 10*time.Second)
+	vic, err := transport.NewTCPSession(addrs, victim, 10*time.Second, nil)
 	if err != nil {
 		t.Fatalf("victim could not join the mesh: %v", err)
 	}

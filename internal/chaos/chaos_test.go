@@ -317,7 +317,7 @@ func TestCrashPropagationTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabrics := make([]*transport.TCPFabric, n)
+	fabrics := make([]*transport.MuxSession, n)
 	dialErrs := make([]error, n)
 	var dial sync.WaitGroup
 	for me := 0; me < n; me++ {
@@ -325,7 +325,7 @@ func TestCrashPropagationTCP(t *testing.T) {
 		dial.Add(1)
 		go func() {
 			defer dial.Done()
-			fabrics[me], dialErrs[me] = transport.NewTCPFabric(addrs, me, 5*time.Second)
+			fabrics[me], dialErrs[me] = transport.NewTCPSession(addrs, me, 5*time.Second, nil)
 		}()
 	}
 	dial.Wait()

@@ -239,7 +239,7 @@ func (m submissionMsg) validate(p Params) error {
 var _wireOnce sync.Once
 
 // RegisterWire registers every type the framework sends over a
-// serialising transport (transport.TCPFabric), including all phase
+// serialising transport (the TCP meshes), including all phase
 // subprotocol types. Safe to call repeatedly.
 func RegisterWire() {
 	_wireOnce.Do(func() {

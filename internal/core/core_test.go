@@ -453,7 +453,7 @@ func TestFrameworkOverRealTCP(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		fab, err := transport.NewTCPFabric(addrs, 0, 30*time.Second)
+		fab, err := transport.NewTCPSession(addrs, 0, 30*time.Second, nil)
 		if err != nil {
 			initCh <- initOut{err: err}
 			return
@@ -468,7 +468,7 @@ func TestFrameworkOverRealTCP(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fab, err := transport.NewTCPFabric(addrs, j, 30*time.Second)
+			fab, err := transport.NewTCPSession(addrs, j, 30*time.Second, nil)
 			if err != nil {
 				errs[j-1] = err
 				return

@@ -30,7 +30,7 @@ import (
 var _wireOnce sync.Once
 
 // RegisterWire registers both protocol flows with gob for serialising
-// transports (transport.TCPFabric). Safe to call repeatedly; in-memory
+// transports (the TCP meshes). Safe to call repeatedly; in-memory
 // fabrics do not need it.
 func RegisterWire() {
 	_wireOnce.Do(func() {

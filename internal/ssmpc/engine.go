@@ -28,7 +28,7 @@ import (
 var _wireOnce sync.Once
 
 // RegisterWire registers the engine's wire payloads with gob for
-// serialising transports (transport.TCPFabric): every engine round
+// serialising transports (the TCP meshes): every engine round
 // exchanges []*big.Int share batches. Safe to call repeatedly.
 func RegisterWire() {
 	_wireOnce.Do(func() {

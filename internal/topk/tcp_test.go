@@ -36,7 +36,7 @@ func TestTopKOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fab, err := transport.NewTCPFabric(addrs, me, 10*time.Second)
+			fab, err := transport.NewTCPSession(addrs, me, 10*time.Second, nil)
 			if err != nil {
 				errs[me] = err
 				return

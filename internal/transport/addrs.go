@@ -65,3 +65,22 @@ func canonicalAddr(a string) string {
 	}
 	return net.JoinHostPort(host, port)
 }
+
+// FreeLoopbackAddrs reserves n distinct loopback addresses for tests
+// and demos by briefly listening on port 0.
+func FreeLoopbackAddrs(n int) ([]string, error) {
+	addrs := make([]string, n)
+	listeners := make([]net.Listener, n)
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		listeners[i] = ln
+		addrs[i] = ln.Addr().String()
+	}
+	for _, ln := range listeners {
+		ln.Close()
+	}
+	return addrs, nil
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
 )
 
@@ -35,8 +34,8 @@ import (
 // for them and the echo sub-round is skipped entirely — zero extra
 // messages, which keeps in-process message/round counts (and therefore
 // `make bench-compare` and the crossval suite) byte-identical to the
-// semi-honest protocol. Real fabrics (TCP, recovering TCP) and fault
-// nets injecting Byzantine behaviour report true and pay the echo.
+// semi-honest protocol. Real meshes (mux sessions, recovering TCP) and
+// fault nets injecting Byzantine behaviour report true and pay the echo.
 //
 // Guarantees and non-guarantees: the echo round detects a sender whose
 // broadcast legs disagreed, and attributes corruption on a sender's
@@ -72,11 +71,6 @@ type echoMsg struct {
 	Digests [][]byte
 }
 
-func init() {
-	// So echo frames survive a serialising transport.
-	gob.Register(echoMsg{})
-}
-
 // echoRequirer is the capability probe a Net implementation exposes to
 // opt into the echo sub-round. It is deliberately not part of the Net
 // interface: wrappers that embed Net (obsv's counting wrapper) forward
@@ -95,10 +89,11 @@ func NeedsEcho(net Net) bool {
 	return false
 }
 
-// EchoRequired opts the TCP mesh into the echo sub-round: a remote
-// peer is a separate process that can send every receiver a different
-// payload.
-func (f *TCPFabric) EchoRequired() bool { return true }
+// EchoRequired opts every mux session into the echo sub-round: a
+// remote peer is a separate process that can send every receiver a
+// different payload, whether the session is the only one on its mesh
+// or one of many a daemon hosts.
+func (s *MuxSession) EchoRequired() bool { return true }
 
 // EchoRequired opts the recovering mesh into the echo sub-round.
 func (f *RecoveringTCPFabric) EchoRequired() bool { return true }

@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -85,11 +84,6 @@ func (k FaultKind) String() string {
 type Corrupted struct {
 	// Round is the round tag of the original message.
 	Round int
-}
-
-func init() {
-	// So corrupted frames survive a serialising transport too.
-	gob.Register(Corrupted{})
 }
 
 // FaultRule targets one deterministic fault. Round, From and To may be

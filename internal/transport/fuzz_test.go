@@ -21,7 +21,8 @@ func FuzzFrameReader(f *testing.F) {
 		}
 		return data
 	}
-	f.Add(seed(envelope{Round: 3, Bytes: 40, Payload: "hello"}))
+	f.Add(seed(muxEnv{SID: "run", Kind: muxKindData, Round: 3, Bytes: 40, Payload: "hello"}))
+	f.Add(seed(muxHello{Party: 1}))
 	f.Add(seed(renv{Kind: 1, Round: 2, Seq: 7, Bytes: 16, Payload: 42}))
 	f.Add(seed(rhello{SessionID: "sess", Party: 1, Epoch: 2, NextExpected: 9}))
 	f.Add(seed(echoMsg{Digests: [][]byte{{1, 2}, nil}}))
@@ -44,7 +45,7 @@ func FuzzFrameReader(f *testing.F) {
 	})
 }
 
-// FuzzEnvelopeDecode targets the envelope codec alone: arbitrary bytes
+// FuzzEnvelopeDecode targets the envelope codecs alone: arbitrary bytes
 // presented as a complete frame payload, exercising the nested-payload
 // path (an envelope carries a full inner frame).
 func FuzzEnvelopeDecode(f *testing.F) {
@@ -55,7 +56,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		}
 		return data
 	}
-	f.Add(seed(envelope{Round: 1, Bytes: 8, Payload: []byte{1, 2, 3}}))
+	f.Add(seed(muxEnv{SID: "run", Kind: muxKindData, Round: 1, Bytes: 8, Payload: []byte{1, 2, 3}}))
 	f.Add(seed(renv{Kind: 2, Round: 0, Seq: 1, Payload: nil}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

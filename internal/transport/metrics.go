@@ -54,12 +54,18 @@ func newNetMetrics(reg *telemetry.Registry) *netMetrics {
 		hbRTT: reg.Histogram("transport_heartbeat_rtt_seconds",
 			"Heartbeat round-trip time per link.",
 			telemetry.ExpBuckets(0.0001, 4, 10)), // 100µs .. ~26s
-		redials:     reg.CounterVec("transport_redials_total", "Dial attempts per peer, including initial mesh formation.", "peer"),
+		redials:     redialsVec(reg),
 		connects:    reg.CounterVec("transport_link_connects_total", "Successful link (re)establishments per peer.", "peer"),
 		retransmits: reg.CounterVec("transport_retransmits_total", "Frames retransmitted to a peer after a reconnect.", "peer"),
 		ackLag:      reg.GaugeVec("transport_ack_lag_frames", "Sent frames not yet acknowledged by the peer.", "peer"),
 		linkUp:      reg.GaugeVec("transport_link_up", "Link state per peer: 1 connected, 0 down.", "peer"),
 	}
+}
+
+// redialsVec registers the dial-attempt family on its own: a mesh feeds
+// it from formation on, before the endpoint's traffic series exist.
+func redialsVec(reg *telemetry.Registry) *telemetry.CounterVec {
+	return reg.CounterVec("transport_redials_total", "Dial attempts per peer, including initial mesh formation.", "peer")
 }
 
 // onSendLocked feeds the protocol-traffic counters. It must run inside

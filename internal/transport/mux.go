@@ -15,13 +15,13 @@ import (
 	"groupranking/internal/wirecodec"
 )
 
-// SessionMux generalizes the RecoveringTCPFabric handshake's sessionID
-// into a frame-level route tag: N concurrent ranking sessions share ONE
-// persistent TCP connection per peer pair, each session seeing its own
-// transport.Net with per-session receive queues. This is the transport
-// layer under the rankd coordinator daemon — a long-lived process hosts
-// many sessions without paying a mesh formation (or a file descriptor
-// pair) per session.
+// SessionMux is the TCP mesh engine: N concurrent ranking sessions
+// share ONE persistent TCP connection per peer pair, each session
+// seeing its own transport.Net with per-session receive queues, routed
+// by a session id carried in every frame. A single protocol run is a
+// mux with one session (NewTCPSession); the rankd coordinator daemon
+// is a long-lived mux hosting many sessions without paying a mesh
+// formation (or a file descriptor pair) per session.
 //
 // Isolation contract: a session that aborts, overflows its receive
 // budget, or closes never tears down the shared link — the other
@@ -52,6 +52,12 @@ type SessionMux struct {
 
 	ctrl chan ControlMsg
 	mm   *muxMetrics
+	// tm feeds the transport_* endpoint series once the mesh has formed
+	// (so their presence means the endpoint is live); each session
+	// sends through its own copy (see open). redials counts dial
+	// attempts from formation on.
+	tm      *netMetrics
+	redials *telemetry.CounterVec
 
 	// rec holds the recovering-mode state (nil when the mux was built
 	// without MuxOptions.Recovery; every recovery hook checks it).
@@ -71,7 +77,9 @@ type MuxOptions struct {
 	// Telemetry, when non-nil, feeds the mux_* metrics family: link
 	// connects (exactly one per peer for the mux's whole lifetime — the
 	// counter load tests assert on), per-link frame traffic, session
-	// open/close counts and pending-buffer drops.
+	// open/close counts and pending-buffer drops. It also feeds the
+	// transport_* endpoint series every mesh shares: protocol and echo
+	// messages and bytes, round cadence, and dial attempts.
 	Telemetry *telemetry.Registry
 	// QueueCap bounds each session's per-peer receive queue in frames
 	// (default 1024). A session whose consumer falls this far behind one
@@ -120,12 +128,13 @@ type muxHello struct {
 	Epoch int
 }
 
-// muxEnv is the mux wire frame: the TCP envelope extended with the
-// session route tag. Kind separates per-session protocol data from the
-// daemons' control plane (whose frames carry an empty SID). Seq is the
-// per-(session,peer) send sequence number recovering sessions stamp on
-// data frames (1-based; 0 marks an unsequenced frame from a session
-// running without recovery) and the resume cursor on resume frames.
+// muxEnv is the mux wire frame: one protocol message's round tag, byte
+// charge and payload plus the session route tag. Kind separates
+// per-session protocol data from the daemons' control plane (whose
+// frames carry an empty SID). Seq is the per-(session,peer) send
+// sequence number recovering sessions stamp on data frames (1-based; 0
+// marks an unsequenced frame from a session running without recovery)
+// and the resume cursor on resume frames.
 type muxEnv struct {
 	SID     string
 	Kind    uint8
@@ -158,6 +167,18 @@ const (
 	// between the peer's open and ours).
 	muxPendingSessions = 1024
 	pendingTTL         = time.Minute
+
+	// tcpSessionID is the route tag of the one session a NewTCPSession
+	// endpoint carries.
+	tcpSessionID = "run"
+)
+
+// Mesh-formation and handshake limits.
+const (
+	dialDeadline      = 10 * time.Second
+	dialBackoffBase   = 5 * time.Millisecond
+	dialBackoffMax    = 250 * time.Millisecond
+	handshakeDeadline = 5 * time.Second
 )
 
 // pendingSession buffers data frames for a session a peer is already
@@ -174,12 +195,13 @@ type pendingFrame struct {
 }
 
 // NewSessionMux builds daemon me's endpoint of an n-daemon mesh, one
-// persistent connection per peer pair, formed exactly like NewTCPFabric
-// (listen on addrs[me], dial lower-indexed peers with backoff, accept
-// higher-indexed ones) but with a typed hello frame so the link can
-// later evolve independently of the single-session fabric. All daemons
-// must call it concurrently. timeout bounds each write and is the
-// default per-session receive bound; <= 0 means no bound.
+// persistent connection per peer pair: it listens on addrs[me], dials
+// every lower-indexed peer (with exponential backoff and jitter while
+// they come up), accepts every higher-indexed one (each introduces
+// itself with a typed hello frame), and returns when the mesh is
+// complete. All daemons must call it concurrently. timeout bounds each
+// write and is the default per-session receive bound; <= 0 means no
+// bound.
 func NewSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOptions) (*SessionMux, error) {
 	n := len(addrs)
 	if n < 2 {
@@ -217,12 +239,14 @@ func NewSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOption
 		closeCh:    make(chan struct{}),
 	}
 	m.mm = newMuxMetrics(opts.Telemetry)
+	m.redials = redialsVec(opts.Telemetry)
 
 	if opts.Recovery != nil {
 		if err := m.formRecovering(addrs, *opts.Recovery); err != nil {
 			m.Close()
 			return nil, err
 		}
+		m.tm = newNetMetrics(opts.Telemetry)
 		return m, nil
 	}
 
@@ -268,7 +292,9 @@ func NewSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOption
 		}
 	}()
 
-	// Dial lower-indexed peers with exponential backoff and jitter.
+	// Dial lower-indexed peers, backing off exponentially with jitter so
+	// n parties starting at once do not hammer a slow listener in
+	// lockstep.
 	for peer := 0; peer < me; peer++ {
 		peer := peer
 		wg.Add(1)
@@ -277,7 +303,9 @@ func NewSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOption
 			jitter := rand.New(rand.NewSource(int64(me)<<16 | int64(peer)))
 			backoff := dialBackoffBase
 			deadline := time.Now().Add(dialDeadline)
+			redials := m.redials.With(strconv.Itoa(peer))
 			for {
+				redials.Inc()
 				conn, err := net.Dial("tcp", addrs[peer])
 				if err != nil {
 					if time.Now().After(deadline) {
@@ -311,7 +339,28 @@ func NewSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOption
 			return nil, err
 		}
 	}
+	m.tm = newNetMetrics(opts.Telemetry)
 	return m, nil
+}
+
+// NewTCPSession builds party me's endpoint of a single protocol run: a
+// plain (fail-fast) SessionMux with one session open on it. A lost
+// connection or a malformed frame aborts the run with a typed
+// *AbortError naming the peer (ErrPeerDown). reg, when non-nil, feeds
+// the endpoint's live metrics from mesh formation on. Closing the
+// session closes the mux. All parties must call it concurrently.
+func NewTCPSession(addrs []string, me int, timeout time.Duration, reg *telemetry.Registry) (*MuxSession, error) {
+	m, err := NewSessionMux(addrs, me, timeout, MuxOptions{Telemetry: reg})
+	if err != nil {
+		return nil, err
+	}
+	s, err := m.Open(tcpSessionID, 0)
+	if err != nil {
+		m.Close()
+		return nil, err
+	}
+	s.ownsMux = true
+	return s, nil
 }
 
 // attach wires a handshaken link and starts its reader pump. The pump
@@ -322,9 +371,7 @@ func (m *SessionMux) attach(peer int, conn net.Conn, rd *bufio.Reader) {
 	m.mu.Lock()
 	m.conns[peer] = conn
 	m.mu.Unlock()
-	lm := m.mm.link(peer)
-	lm.connects.inc()
-	lm.linkUp.Set(1)
+	m.mm.linkUp(peer, true)
 	m.pumps.Add(1)
 	go func() {
 		defer m.pumps.Done()
@@ -342,14 +389,14 @@ func (m *SessionMux) attach(peer int, conn net.Conn, rd *bufio.Reader) {
 			atomic.StoreInt64(&m.lastSeen[peer], time.Now().UnixNano())
 			switch env.Kind {
 			case muxKindControl:
-				m.mm.ctrlFrames.inc()
+				m.mm.ctrlFrames.Inc()
 				select {
 				case m.ctrl <- ControlMsg{From: peer, Payload: env.Payload}:
 				case <-m.closeCh:
 					return
 				}
 			case muxKindData:
-				m.mm.dataFrames.inc()
+				m.mm.dataFrames.Inc()
 				m.routeData(peer, env)
 			default:
 				m.failLink(peer, fmt.Errorf("transport: party %d sent mux frame kind %d", peer, env.Kind))
@@ -371,7 +418,7 @@ func (m *SessionMux) routeData(from int, env muxEnv) {
 	}
 	if m.closed[env.SID] {
 		m.mu.Unlock()
-		m.mm.lateFrames.inc()
+		m.mm.lateFrames.Inc()
 		return
 	}
 	p := m.pending[env.SID]
@@ -381,7 +428,7 @@ func (m *SessionMux) routeData(from int, env muxEnv) {
 		}
 		if len(m.pending) >= muxPendingSessions {
 			m.mu.Unlock()
-			m.mm.pendingDrops.inc()
+			m.mm.pendingDrops.Inc()
 			return
 		}
 		p = &pendingSession{since: time.Now()}
@@ -390,7 +437,7 @@ func (m *SessionMux) routeData(from int, env muxEnv) {
 	if len(p.frames) >= m.pendingCap {
 		p.dropped = true
 		m.mu.Unlock()
-		m.mm.pendingDrops.inc()
+		m.mm.pendingDrops.Inc()
 		return
 	}
 	p.frames = append(p.frames, pendingFrame{from: from, env: env})
@@ -421,7 +468,7 @@ func (m *SessionMux) failLink(peer int, cause error) {
 		open = append(open, s)
 	}
 	m.mu.Unlock()
-	m.mm.link(peer).linkUp.Set(0)
+	m.mm.linkUp(peer, false)
 	for _, s := range open {
 		s.failPeer(peer, fmt.Errorf("%w: party %d: %v", ErrPeerDown, peer, cause))
 	}
@@ -467,6 +514,11 @@ func (m *SessionMux) open(sid string, timeout time.Duration, j Journaler) (*MuxS
 		rounds:   make(map[int]RoundStats),
 		closeCh:  make(chan struct{}),
 	}
+	if m.tm != nil {
+		// The handles are shared; the round-cadence clock is per session.
+		tm := *m.tm
+		s.tm = &tm
+	}
 	for i := 0; i < m.n; i++ {
 		if i == m.me {
 			continue
@@ -494,31 +546,27 @@ func (m *SessionMux) open(sid string, timeout time.Duration, j Journaler) (*MuxS
 		m.mu.Unlock()
 		return nil, fmt.Errorf("transport: mux session %q overflowed its pending buffer before it was opened", sid)
 	}
-	// Pre-fail peers whose link already died: the session must see the
-	// same typed abort a live session would.
-	var deadErrs []error
-	var deadPeers []int
-	for peer, err := range m.linkErr {
-		if err != nil && peer != m.me {
-			deadPeers = append(deadPeers, peer)
-			deadErrs = append(deadErrs, fmt.Errorf("%w: party %d: %v", ErrPeerDown, peer, err))
-		}
-	}
 	m.sessions[sid] = s
 	if j != nil && m.rec != nil {
 		m.rec.resumable[sid] = j
 	}
-	m.mu.Unlock()
-	for i, peer := range deadPeers {
-		s.failPeer(peer, deadErrs[i])
-	}
 	if p != nil {
-		// Replay in arrival order: the single pump per peer appended in
-		// order, so per-peer FIFO is preserved.
+		// Replay in arrival order (the single pump per peer appended in
+		// order), under the lock so a pump cannot deliver a newer frame
+		// first.
 		for _, f := range p.frames {
 			s.deliver(f.from, f.env)
 		}
 	}
+	// Then pre-fail peers whose link already died: the session must see
+	// the same typed abort a live session would, after the frames the
+	// peer sent before its link failed.
+	for peer, err := range m.linkErr {
+		if err != nil && peer != m.me {
+			s.failPeer(peer, fmt.Errorf("%w: party %d: %v", ErrPeerDown, peer, err))
+		}
+	}
+	m.mu.Unlock()
 	if j != nil {
 		// Ask every connected peer for anything we have not journaled
 		// yet; peers that attach later are asked on attach.
@@ -567,13 +615,15 @@ func (m *SessionMux) SendControl(to int, payload any) error {
 func (m *SessionMux) writeFrame(to int, timeout time.Duration, env muxEnv) error {
 	m.mu.Lock()
 	conn := m.conns[to]
-	lerr := m.linkErr[to]
 	m.mu.Unlock()
-	if conn == nil || lerr != nil {
-		if lerr == nil {
-			lerr = fmt.Errorf("no connection")
-		}
-		return Abort(to, env.Round, "", fmt.Errorf("%w: party %d: %v", ErrPeerDown, to, lerr))
+	// A link whose read side failed is still written to: EOF only proves
+	// the peer stopped sending, and a write into a dead connection fails
+	// or is lost harmlessly. Refusing it would fail a broadcast before
+	// this party has received the frames that peer sent before leaving,
+	// so the abort would name that peer — often a cascading aborter —
+	// instead of the one the protocol then blocks on.
+	if conn == nil {
+		return Abort(to, env.Round, "", fmt.Errorf("%w: no connection to party %d", ErrPeerDown, to))
 	}
 	m.encMu[to].Lock()
 	defer m.encMu[to].Unlock()
@@ -642,13 +692,15 @@ func (m *SessionMux) Close() {
 }
 
 // MuxSession is one session's view of the shared mesh: a transport.Net
-// whose frames carry the session's route tag, with the same endpoint
-// statistics TCPFabric reports. Closing it detaches the session from
-// the mux (late frames are dropped); it never closes the shared links.
+// whose frames carry the session's route tag. Closing it detaches the
+// session from the mux (late frames are dropped); it never closes the
+// shared links — except on a NewTCPSession endpoint, whose session owns
+// its mux.
 type MuxSession struct {
 	m       *SessionMux
 	sid     string
 	timeout time.Duration
+	ownsMux bool
 
 	inbox []chan muxEnv
 
@@ -663,6 +715,7 @@ type MuxSession struct {
 	rounds    map[int]RoundStats
 	echoMsgs  int64
 	echoBytes int64
+	tm        *netMetrics
 
 	// Journal-backed recovery state (nil/unused when j is nil): see
 	// muxrecover.go. sendMu guards the send side (sequence counters and
@@ -734,7 +787,11 @@ func (s *MuxSession) Send(round, from, to, bytes int, payload any) error {
 	if to < 0 || to >= s.m.n || to == s.m.me {
 		return fmt.Errorf("transport: invalid destination %d", to)
 	}
+	if s.closedLocally() {
+		return Abort(to, round, "", ErrClosed)
+	}
 	s.statsMu.Lock()
+	newRound := false
 	if IsEchoRound(round) {
 		s.echoMsgs++
 		s.echoBytes += int64(bytes)
@@ -744,13 +801,16 @@ func (s *MuxSession) Send(round, from, to, bytes int, payload any) error {
 		if round > s.maxRound {
 			s.maxRound = round
 		}
-		rs := s.rounds[round]
+		rs, seen := s.rounds[round]
+		newRound = !seen
 		rs.Messages++
 		rs.Bytes += int64(bytes)
 		s.rounds[round] = rs
+		s.m.mm.sessionMsgs.Inc()
+		s.m.mm.sessionBytes.Add(int64(bytes))
 	}
+	s.tm.onSendLocked(round, bytes, newRound)
 	s.statsMu.Unlock()
-	s.m.mm.onSessionSend(bytes)
 	if s.j != nil {
 		return s.sendRecovering(round, to, bytes, payload)
 	}
@@ -816,10 +876,7 @@ func (s *MuxSession) RecvCtx(ctx context.Context, to, from, round int) (any, err
 				return take(env)
 			default:
 			}
-			s.peerMu.Lock()
-			cause := s.peerErr[from]
-			s.peerMu.Unlock()
-			return nil, Abort(from, round, "", cause)
+			return nil, s.peerFailure(from, round)
 		case <-done:
 			return nil, Abort(from, round, "", ctx.Err())
 		case <-timerC:
@@ -832,7 +889,10 @@ func (s *MuxSession) RecvCtx(ctx context.Context, to, from, round int) (any, err
 	}
 }
 
-// Broadcast implements Net, best-effort like TCPFabric's.
+// Broadcast implements Net, best-effort: every leg is attempted even
+// when one fails, so a single dead peer does not keep this party's
+// message from the survivors (who could otherwise mis-attribute the
+// failure to this party). The first error is returned after all legs.
 func (s *MuxSession) Broadcast(round, from, bytes int, payload any) error {
 	return broadcastAll(s.m.n, s.m.me, func(to int) error {
 		return s.Send(round, from, to, bytes, payload)
@@ -849,8 +909,10 @@ func (s *MuxSession) GatherAllCtx(ctx context.Context, to, round int) ([]any, er
 	return gatherAll(ctx, s, to, round)
 }
 
-// Stats reports this session's endpoint traffic in the same shape as
-// TCPFabric.Stats: only this party's slot is populated.
+// Stats reports this session's endpoint traffic in the same per-party
+// shape as Fabric.Stats. An endpoint only observes its own sends, so
+// only the slot at this party's index is populated; the other slots are
+// zero.
 func (s *MuxSession) Stats() Stats {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
@@ -871,6 +933,19 @@ func (s *MuxSession) Stats() Stats {
 	return out
 }
 
+// peerFailure is the abort for a receive from a failed peer. A link
+// torn down by our own Close fails the peer too; that is reported as
+// ErrClosed, never as the peer's fault.
+func (s *MuxSession) peerFailure(from, round int) error {
+	if s.closedLocally() {
+		return Abort(from, round, "", ErrClosed)
+	}
+	s.peerMu.Lock()
+	cause := s.peerErr[from]
+	s.peerMu.Unlock()
+	return Abort(from, round, "", cause)
+}
+
 // closedLocally reports whether Close was called on the session or on
 // its mux.
 func (s *MuxSession) closedLocally() bool {
@@ -884,32 +959,41 @@ func (s *MuxSession) closedLocally() bool {
 	}
 }
 
+// Health implements telemetry.HealthSource: a session's links are its
+// mux's.
+func (s *MuxSession) Health() []telemetry.PeerHealth { return s.m.Health() }
+
 // Close detaches the session from the mux: its receives fail with
 // ErrClosed and late frames tagged with its id are dropped. The shared
-// links stay up for every other session. Safe to call more than once.
+// links stay up for every other session, unless the session owns its
+// mux (NewTCPSession), which then closes too. Safe to call more than
+// once.
 func (s *MuxSession) Close() {
 	s.closeOnce.Do(func() {
 		close(s.closeCh)
 		s.m.retire(s.sid)
+		if s.ownsMux {
+			s.m.Close()
+		}
 	})
 }
 
-// muxMetrics is the mux's telemetry bundle. All handles are nil-safe so
-// a daemon without telemetry pays one nil check per event.
+// muxMetrics is the mux's telemetry bundle. Every telemetry handle is
+// nil-safe, so a mux without a registry pays one nil check per event.
 type muxMetrics struct {
 	connects *telemetry.CounterVec
-	linkUp   *telemetry.GaugeVec
+	linkUpV  *telemetry.GaugeVec
 
-	dataFrames   nilCounter
-	ctrlFrames   nilCounter
-	sessionMsgs  nilCounter
-	sessionBytes nilCounter
-	opened       nilCounter
-	closed       nilCounter
-	pendingDrops nilCounter
-	lateFrames   nilCounter
-	resumeFrames nilCounter
-	retransmits  nilCounter
+	dataFrames   *telemetry.Counter
+	ctrlFrames   *telemetry.Counter
+	sessionMsgs  *telemetry.Counter
+	sessionBytes *telemetry.Counter
+	opened       *telemetry.Counter
+	closed       *telemetry.Counter
+	pendingDrops *telemetry.Counter
+	lateFrames   *telemetry.Counter
+	resumeFrames *telemetry.Counter
+	retransmits  *telemetry.Counter
 
 	// active mirrors the open-session count into a gauge; the count is
 	// kept here because telemetry gauges only support Set.
@@ -919,84 +1003,40 @@ type muxMetrics struct {
 
 // onSessionOpen / onSessionClose keep the active-session gauge.
 func (mm *muxMetrics) onSessionOpen() {
-	mm.opened.inc()
-	if mm.active != nil {
-		mm.active.Set(float64(atomic.AddInt64(&mm.activeN, 1)))
-	}
+	mm.opened.Inc()
+	mm.active.Set(float64(atomic.AddInt64(&mm.activeN, 1)))
 }
 
 func (mm *muxMetrics) onSessionClose() {
-	mm.closed.inc()
-	if mm.active != nil {
-		mm.active.Set(float64(atomic.AddInt64(&mm.activeN, -1)))
-	}
+	mm.closed.Inc()
+	mm.active.Set(float64(atomic.AddInt64(&mm.activeN, -1)))
 }
 
-// nilCounter / nilGauge wrap the telemetry handles so a nil muxMetrics
-// receiver (telemetry disabled) stays inert without scattering checks.
-type nilCounter struct{ c *telemetry.Counter }
-
-func (c nilCounter) inc() {
-	if c.c != nil {
-		c.c.Inc()
+// linkUp records a link coming up (one more connect) or going down.
+func (mm *muxMetrics) linkUp(peer int, up bool) {
+	p := strconv.Itoa(peer)
+	if up {
+		mm.connects.With(p).Inc()
+		mm.linkUpV.With(p).Set(1)
+		return
 	}
-}
-
-func (c nilCounter) add(v int64) {
-	if c.c != nil {
-		c.c.Add(v)
-	}
-}
-
-type muxLinkMetrics struct {
-	connects nilCounter
-	linkUp   nilLinkGauge
-}
-
-type nilLinkGauge struct{ g *telemetry.Gauge }
-
-func (g nilLinkGauge) Set(v float64) {
-	if g.g != nil {
-		g.g.Set(v)
-	}
+	mm.linkUpV.With(p).Set(0)
 }
 
 func newMuxMetrics(reg *telemetry.Registry) *muxMetrics {
-	if reg == nil {
-		return &muxMetrics{}
-	}
 	return &muxMetrics{
-		connects: reg.CounterVec("mux_link_connects_total", "Mux link establishments per peer — stays at 1 per peer for the daemon's lifetime when sessions truly share the connection.", "peer"),
-		linkUp:   reg.GaugeVec("mux_link_up", "Mux link state per peer: 1 connected, 0 down.", "peer"),
-		dataFrames:   nilCounter{reg.Counter("mux_data_frames_total", "Session data frames received over all mux links.")},
-		ctrlFrames:   nilCounter{reg.Counter("mux_control_frames_total", "Control-plane frames received over all mux links.")},
-		sessionMsgs:  nilCounter{reg.Counter("mux_session_msgs_total", "Session protocol messages sent by this daemon across all sessions.")},
-		sessionBytes: nilCounter{reg.Counter("mux_session_bytes_total", "Session protocol bytes sent by this daemon across all sessions.")},
-		opened:       nilCounter{reg.Counter("mux_sessions_opened_total", "Sessions opened on this mux.")},
-		closed:       nilCounter{reg.Counter("mux_sessions_closed_total", "Sessions closed on this mux.")},
-		pendingDrops: nilCounter{reg.Counter("mux_pending_dropped_total", "Frames dropped because a not-yet-opened session overran its pending buffer.")},
-		lateFrames:   nilCounter{reg.Counter("mux_late_frames_total", "Frames dropped because their session was already closed.")},
-		resumeFrames: nilCounter{reg.Counter("mux_resume_frames_total", "Resume (retransmission request) frames received over all mux links.")},
-		retransmits:  nilCounter{reg.Counter("mux_retransmit_frames_total", "Session frames re-served from a journal after a resume request.")},
+		connects:     reg.CounterVec("mux_link_connects_total", "Mux link establishments per peer — stays at 1 per peer for the daemon's lifetime when sessions truly share the connection.", "peer"),
+		linkUpV:      reg.GaugeVec("mux_link_up", "Mux link state per peer: 1 connected, 0 down.", "peer"),
+		dataFrames:   reg.Counter("mux_data_frames_total", "Session data frames received over all mux links."),
+		ctrlFrames:   reg.Counter("mux_control_frames_total", "Control-plane frames received over all mux links."),
+		sessionMsgs:  reg.Counter("mux_session_msgs_total", "Session protocol messages sent by this daemon across all sessions (echo sub-round traffic excluded)."),
+		sessionBytes: reg.Counter("mux_session_bytes_total", "Session protocol bytes sent by this daemon across all sessions (echo sub-round traffic excluded)."),
+		opened:       reg.Counter("mux_sessions_opened_total", "Sessions opened on this mux."),
+		closed:       reg.Counter("mux_sessions_closed_total", "Sessions closed on this mux."),
+		pendingDrops: reg.Counter("mux_pending_dropped_total", "Frames dropped because a not-yet-opened session overran its pending buffer."),
+		lateFrames:   reg.Counter("mux_late_frames_total", "Frames dropped because their session was already closed."),
+		resumeFrames: reg.Counter("mux_resume_frames_total", "Resume (retransmission request) frames received over all mux links."),
+		retransmits:  reg.Counter("mux_retransmit_frames_total", "Session frames re-served from a journal after a resume request."),
 		active:       reg.Gauge("mux_sessions_active", "Sessions currently open on this mux."),
 	}
-}
-
-func (mm *muxMetrics) link(peer int) muxLinkMetrics {
-	if mm == nil || mm.connects == nil {
-		return muxLinkMetrics{}
-	}
-	p := strconv.Itoa(peer)
-	return muxLinkMetrics{
-		connects: nilCounter{mm.connects.With(p)},
-		linkUp:   nilLinkGauge{mm.linkUp.With(p)},
-	}
-}
-
-func (mm *muxMetrics) onSessionSend(bytes int) {
-	if mm == nil {
-		return
-	}
-	mm.sessionMsgs.inc()
-	mm.sessionBytes.add(int64(bytes))
 }

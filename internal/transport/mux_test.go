@@ -168,6 +168,72 @@ func TestMuxPendingReplay(t *testing.T) {
 	}
 }
 
+// Frames a peer sent before its link died are still received by a
+// session opened after the death, and only then does the failure
+// surface, typed and naming the peer — the order a live session sees.
+func TestMuxPendingReplayBeforeLinkFailure(t *testing.T) {
+	defer leakcheck.Check(t)
+	muxes := muxMesh(t, 2, func(int) MuxOptions { return MuxOptions{} })
+	s0, err := muxes[0].Open("late", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s0.Send(1, 0, 1, 4, 11); err != nil {
+		t.Fatal(err)
+	}
+	muxes[0].Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for muxes[1].Health()[0].State != telemetry.StateDead {
+		if time.Now().After(deadline) {
+			t.Fatal("link death never observed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	s1, err := muxes[1].Open("late", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s1.Close()
+	if v, err := s1.RecvCtx(context.Background(), 1, 0, 1); err != nil || v.(int) != 11 {
+		t.Fatalf("frame sent before the link died: got %v, %v", v, err)
+	}
+	_, err = s1.RecvCtx(context.Background(), 1, 0, 2)
+	var abort *AbortError
+	if !errors.As(err, &abort) || !errors.Is(err, ErrPeerDown) || abort.Party != 0 {
+		t.Fatalf("after the buffered frame: got %v, want ErrPeerDown naming party 0", err)
+	}
+}
+
+// A party that reaches a broadcast after two peers left — one having
+// sent its frame for the round first, one silent — still receives the
+// frame and names the silent peer, the one the protocol blocks on: the
+// legs to the departed peers do not fail the round early.
+func TestMuxBroadcastAfterPeersLeft(t *testing.T) {
+	defer leakcheck.Check(t)
+	sess := tcpSessions(t, 3, nil)
+	if err := sess[0].Send(1, 0, 2, 4, 10); err != nil {
+		t.Fatal(err)
+	}
+	sess[1].Close()
+	sess[0].Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		h := sess[2].Health()
+		if h[0].State == telemetry.StateDead && h[1].State == telemetry.StateDead {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("peer departures never observed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	_, err := EchoBroadcastCtx(context.Background(), sess[2], 2, 1, 4, 12)
+	var abort *AbortError
+	if !errors.As(err, &abort) || !errors.Is(err, ErrPeerDown) || abort.Party != 1 {
+		t.Fatalf("got %v, want ErrPeerDown naming the silent party 1", err)
+	}
+}
+
 // Closing (or abandoning) one session must not disturb another on the
 // same link: session A closes mid-flight, B still completes.
 func TestMuxCloseIsolation(t *testing.T) {
@@ -279,8 +345,8 @@ func TestMeshAddrCollision(t *testing.T) {
 	}
 	addrs[2] = addrs[0]
 	var collision *AddrCollisionError
-	if _, err := NewTCPFabric(addrs, 0, time.Second); !errors.As(err, &collision) {
-		t.Fatalf("NewTCPFabric: got %v, want AddrCollisionError", err)
+	if _, err := NewTCPSession(addrs, 0, time.Second, nil); !errors.As(err, &collision) {
+		t.Fatalf("NewTCPSession: got %v, want AddrCollisionError", err)
 	} else if collision.Parties != [2]int{0, 2} {
 		t.Fatalf("collision parties = %v, want [0 2]", collision.Parties)
 	}
@@ -300,5 +366,172 @@ func TestMeshAddrCollision(t *testing.T) {
 	}
 	if err := validateMeshAddrs([]string{"hostA:9001", "hostB:9001"}); err != nil {
 		t.Fatalf("distinct hosts, same port wrongly rejected: %v", err)
+	}
+}
+
+// tcpSessions forms an n-party mesh of one-session endpoints.
+func tcpSessions(t *testing.T, n int, regs []*telemetry.Registry) []*MuxSession {
+	t.Helper()
+	eps := formMesh(t, n, func(addrs []string, me int) (Net, error) {
+		var reg *telemetry.Registry
+		if regs != nil {
+			reg = regs[me]
+		}
+		return NewTCPSession(addrs, me, 5*time.Second, reg)
+	})
+	out := make([]*MuxSession, n)
+	for i, ep := range eps {
+		out[i] = ep.(*MuxSession)
+	}
+	return out
+}
+
+func TestTCPConstructorValidation(t *testing.T) {
+	defer leakcheck.Check(t)
+	if _, err := NewTCPSession([]string{"127.0.0.1:0"}, 0, time.Second, nil); err == nil {
+		t.Error("single party accepted")
+	}
+	if _, err := NewTCPSession([]string{"a", "b"}, 5, time.Second, nil); err == nil {
+		t.Error("out-of-range index accepted")
+	}
+}
+
+func TestTCPMeshSendRecv(t *testing.T) {
+	defer leakcheck.Check(t)
+	sess := tcpSessions(t, 3, nil)
+	if err := sess[0].Send(1, 0, 2, 16, wirePayload{From: 0, Text: "hello"}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess[2].Recv(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok := got.(wirePayload)
+	if !ok || p.Text != "hello" {
+		t.Fatalf("got %#v", got)
+	}
+}
+
+func TestTCPOrderingPerSender(t *testing.T) {
+	defer leakcheck.Check(t)
+	sess := tcpSessions(t, 2, nil)
+	for i := 0; i < 50; i++ {
+		if err := sess[0].Send(0, 0, 1, 4, wirePayload{From: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		got, err := sess[1].Recv(1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.(wirePayload).From != i {
+			t.Fatalf("message %d out of order", i)
+		}
+	}
+}
+
+// A real endpoint speaks only for its own party.
+func TestTCPEndpointRestrictions(t *testing.T) {
+	defer leakcheck.Check(t)
+	sess := tcpSessions(t, 2, nil)
+	if err := sess[0].Send(0, 1, 0, 0, wirePayload{}); err == nil {
+		t.Error("sending as another party accepted")
+	}
+	if _, err := sess[0].Recv(1, 0); err == nil {
+		t.Error("receiving as another party accepted")
+	}
+	if err := sess[0].Send(0, 0, 0, 0, wirePayload{}); err == nil {
+		t.Error("self send accepted")
+	}
+}
+
+func TestFreeLoopbackAddrs(t *testing.T) {
+	addrs, err := FreeLoopbackAddrs(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, a := range addrs {
+		if seen[a] {
+			t.Fatalf("duplicate address %s", a)
+		}
+		seen[a] = true
+		if a == "" {
+			t.Fatal("empty address")
+		}
+	}
+}
+
+// A daemon that sends its broadcast legs different payloads over mux
+// sessions is caught by the echo sub-round: every honest party aborts
+// with an *EquivocationError naming it.
+func TestMuxEchoCatchesEquivocator(t *testing.T) {
+	defer leakcheck.Check(t)
+	const n, cheat, round = 3, 0, 4
+	sess := tcpSessions(t, n, nil)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var nt Net = sess[i]
+			if i == cheat {
+				// Substitutes the payload on some legs; its own echo still
+				// claims the original.
+				nt = NewFaultNet(sess[i], FaultPlan{Seed: 1, Rules: []FaultRule{{Kind: FaultEquivocate, Round: round, From: cheat, To: -1}}})
+			}
+			_, errs[i] = EchoBroadcastCtx(context.Background(), nt, i, round, 8, fmt.Sprintf("payload of %d", i))
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if i == cheat {
+			continue
+		}
+		var eq *EquivocationError
+		if !errors.As(err, &eq) {
+			t.Fatalf("honest party %d: got %v, want an *EquivocationError", i, err)
+		}
+		if abort, _ := IsAbort(err); eq.Sender != cheat || abort.Party != cheat {
+			t.Fatalf("honest party %d accused party %d (abort names %d), want %d", i, eq.Sender, abort.Party, cheat)
+		}
+	}
+}
+
+// A one-session endpoint feeds the transport_* endpoint series from
+// mesh formation on: its formation dials count as redials, and protocol
+// and echo traffic land in separate counters.
+func TestTCPSessionTelemetry(t *testing.T) {
+	defer leakcheck.Check(t)
+	regs := []*telemetry.Registry{telemetry.NewRegistry(), telemetry.NewRegistry()}
+	sess := tcpSessions(t, 2, regs)
+	if err := sess[1].Send(1, 1, 0, 10, wirePayload{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess[1].Send(EchoRound(1), 1, 0, 64, echoMsg{}); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := regs[1].WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dump := buf.String()
+	for _, want := range []string{
+		"transport_msgs_total 1\n",
+		"transport_bytes_total 10\n",
+		"transport_echo_msgs_total 1\n",
+		"transport_echo_bytes_total 64\n",
+		"transport_rounds_total 1\n",
+		"mux_session_msgs_total 1\n",
+	} {
+		if !strings.Contains(dump, want) {
+			t.Errorf("metrics missing %q:\n%s", want, dump)
+		}
+	}
+	// Party 1 dialed party 0 at least once during formation.
+	if !strings.Contains(dump, `transport_redials_total{peer="0"} `) || strings.Contains(dump, `transport_redials_total{peer="0"} 0`) {
+		t.Errorf("formation dials not counted:\n%s", dump)
 	}
 }

@@ -200,6 +200,7 @@ func (m *SessionMux) handleAccept(conn net.Conn) {
 func (m *SessionMux) maintainLink(peer int, addr string) {
 	defer m.pumps.Done()
 	jitter := rand.New(rand.NewSource(int64(m.me)<<16 | int64(peer)))
+	redials := m.redials.With(strconv.Itoa(peer))
 	first := true
 	firstDeadline := time.Now().Add(dialDeadline)
 	for {
@@ -211,6 +212,7 @@ func (m *SessionMux) maintainLink(peer int, addr string) {
 		backoff := dialBackoffBase
 		var conn net.Conn
 		for conn == nil {
+			redials.Inc()
 			c, err := net.Dial("tcp", addr)
 			if err == nil {
 				conn = c
@@ -294,9 +296,7 @@ func (m *SessionMux) attachRecovering(peer, epoch int, conn net.Conn, rd *bufio.
 		}
 	}
 	m.mu.Unlock()
-	lm := m.mm.link(peer)
-	lm.connects.inc()
-	lm.linkUp.Set(1)
+	m.mm.linkUp(peer, true)
 	done := make(chan struct{})
 	m.pumps.Add(1)
 	go m.recPump(peer, conn, rd, done)
@@ -328,17 +328,17 @@ func (m *SessionMux) recPump(peer int, conn net.Conn, rd *bufio.Reader, done cha
 		atomicStoreLastSeen(m, peer)
 		switch env.Kind {
 		case muxKindControl:
-			m.mm.ctrlFrames.inc()
+			m.mm.ctrlFrames.Inc()
 			select {
 			case m.ctrl <- ControlMsg{From: peer, Payload: env.Payload}:
 			case <-m.closeCh:
 				return
 			}
 		case muxKindData:
-			m.mm.dataFrames.inc()
+			m.mm.dataFrames.Inc()
 			m.routeData(peer, env)
 		case muxKindResume:
-			m.mm.resumeFrames.inc()
+			m.mm.resumeFrames.Inc()
 			m.routeResume(peer, env)
 		default:
 			m.markLinkDown(peer, conn, fmt.Errorf("transport: party %d sent mux frame kind %d", peer, env.Kind))
@@ -376,7 +376,7 @@ func (m *SessionMux) markLinkDown(peer int, conn net.Conn, cause error) {
 		})
 	}
 	m.mu.Unlock()
-	m.mm.link(peer).linkUp.Set(0)
+	m.mm.linkUp(peer, false)
 }
 
 // blamePeer fires when a link outage outlives the grace: every open
@@ -452,7 +452,7 @@ func (m *SessionMux) retransmitFromJournal(sid string, to int, have uint64, j Jo
 		if m.writeFrame(to, m.timeout, env) != nil {
 			return
 		}
-		m.mm.retransmits.inc()
+		m.mm.retransmits.Inc()
 	}
 }
 
@@ -669,10 +669,7 @@ func (s *MuxSession) recvRecovering(ctx context.Context, from, round int) (any, 
 				}
 				break
 			}
-			s.peerMu.Lock()
-			cause := s.peerErr[from]
-			s.peerMu.Unlock()
-			return nil, Abort(from, round, "", cause)
+			return nil, s.peerFailure(from, round)
 		case <-done:
 			return nil, Abort(from, round, "", ctx.Err())
 		case <-timerC:

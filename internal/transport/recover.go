@@ -34,7 +34,7 @@ import (
 //     blame is assigned only after the peer has failed to reconnect for
 //     a full grace window, and the receive-side timeout still bounds
 //     every wait, so a peer that never returns aborts the session
-//     exactly as the plain TCPFabric would.
+//     exactly as the plain fail-fast mesh (NewTCPSession) would.
 //
 // With a Journaler attached the fabric is additionally durable: sends
 // are journaled before the first wire write (write-ahead), receives are
@@ -128,7 +128,7 @@ func (o RecoverOptions) withDefaults() RecoverOptions {
 }
 
 // Redial backoff for re-establishing a lost link (distinct from the
-// initial-dial constants in tcp.go: reconnects may wait much longer,
+// initial-dial constants in mux.go: reconnects may wait much longer,
 // so the cap is higher).
 const (
 	redialBackoffBase = 10 * time.Millisecond
@@ -209,7 +209,7 @@ type rlink struct {
 
 // RecoveringTCPFabric implements Net over a self-healing TCP mesh with
 // optional journal-backed crash recovery. See the file comment for the
-// mechanism; see NewTCPFabric for the plain fail-fast mesh.
+// mechanism; see NewTCPSession for the plain fail-fast mesh.
 type RecoveringTCPFabric struct {
 	n, me   int
 	addrs   []string
@@ -222,7 +222,7 @@ type RecoveringTCPFabric struct {
 
 	ln net.Listener
 
-	mu       sync.Mutex
+	mu        sync.Mutex
 	msgs      int64
 	bytes     int64
 	maxRound  int
@@ -238,11 +238,11 @@ type RecoveringTCPFabric struct {
 var _ Net = (*RecoveringTCPFabric)(nil)
 
 // NewRecoveringTCPFabric builds party me's endpoint of an n-party
-// recovery mesh. Topology matches NewTCPFabric: the endpoint listens on
+// recovery mesh. Topology matches NewSessionMux: the endpoint listens on
 // addrs[me], dials every lower-indexed party and accepts from every
 // higher-indexed one — and keeps doing both for the fabric's lifetime,
 // so severed links heal and restarted peers rejoin. timeout bounds each
-// receive wait and each write, exactly as on the plain fabric.
+// receive wait and each write, exactly as on the plain mesh.
 func NewRecoveringTCPFabric(addrs []string, me int, timeout time.Duration, opts RecoverOptions) (*RecoveringTCPFabric, error) {
 	n := len(addrs)
 	if n < 2 {
@@ -853,6 +853,11 @@ func (f *RecoveringTCPFabric) Send(round, from, to, bytes int, payload any) erro
 	if to < 0 || to >= f.n || to == f.me {
 		return fmt.Errorf("transport: invalid destination %d", to)
 	}
+	select {
+	case <-f.closeCh:
+		return Abort(to, round, "", ErrClosed)
+	default:
+	}
 	// Count every logical send — including replayed ones — so a
 	// restarted endpoint reports the same stats as a fault-free run.
 	// Echo sub-round traffic is consistency-layer overhead, tallied
@@ -933,7 +938,7 @@ func (f *RecoveringTCPFabric) Recv(to, from int) (any, error) {
 // restarted recomputation consumes them without touching the network);
 // live receives wait out disconnects up to the grace window before
 // blaming the peer, and are bounded by ctx and the fabric timeout as
-// on the plain fabric.
+// on the plain mesh.
 func (f *RecoveringTCPFabric) RecvCtx(ctx context.Context, to, from, round int) (any, error) {
 	if to != f.me {
 		return nil, fmt.Errorf("transport: tcp party %d cannot receive as %d", f.me, to)
@@ -1043,7 +1048,7 @@ func (f *RecoveringTCPFabric) GatherAllCtx(ctx context.Context, to, round int) (
 }
 
 // Stats reports this endpoint's logical protocol traffic in the same
-// shape as TCPFabric.Stats. Control frames (heartbeats, acks, hellos)
+// shape as MuxSession.Stats. Control frames (heartbeats, acks, hellos)
 // and retransmissions are transport overhead and are not counted, and
 // replayed sends are counted once per logical send — so a recovered
 // run reports exactly the stats of a fault-free one.

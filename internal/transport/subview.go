@@ -9,8 +9,8 @@ import (
 // implements it directly; SubView implements it over a subset of a
 // fabric's parties so multi-phase frameworks can run an n-party
 // subprotocol among a subset of n+1 parties while keeping a single
-// unified trace for network replay. TCPFabric implements it over a real
-// mesh, and FaultNet wraps any implementation with fault injection.
+// unified trace for network replay. MuxSession implements it over a
+// real mesh, and FaultNet wraps any implementation with fault injection.
 type Net interface {
 	// N is the number of addressable parties.
 	N() int

@@ -106,6 +106,9 @@ type Fabric struct {
 	down     []chan struct{}
 	downOnce []sync.Once
 
+	closeOnce sync.Once
+	closed    chan struct{}
+
 	mu        sync.Mutex
 	trace     []Event
 	msgs      []int64
@@ -141,6 +144,7 @@ func New(n int, opts ...Option) (*Fabric, error) {
 			f.queues[i][j] = make(chan message, f.capacity)
 		}
 	}
+	f.closed = make(chan struct{})
 	f.down = make([]chan struct{}, n)
 	f.downOnce = make([]sync.Once, n)
 	for i := range f.down {
@@ -160,6 +164,13 @@ func (f *Fabric) MarkDown(p int) {
 	f.downOnce[p].Do(func() { close(f.down[p]) })
 }
 
+// Close shuts the fabric down: every pending and future receive, and
+// every later send, fails with an AbortError carrying ErrClosed — the
+// teardown contract the TCP meshes give their endpoints. Idempotent.
+func (f *Fabric) Close() {
+	f.closeOnce.Do(func() { close(f.closed) })
+}
+
 // N returns the number of parties.
 func (f *Fabric) N() int { return f.n }
 
@@ -169,6 +180,11 @@ func (f *Fabric) N() int { return f.n }
 func (f *Fabric) Send(round, from, to, bytes int, payload any) error {
 	if err := f.check(from, to); err != nil {
 		return err
+	}
+	select {
+	case <-f.closed:
+		return Abort(to, round, "", ErrClosed)
+	default:
 	}
 	ev := Event{Round: round, From: from, To: to, Bytes: bytes}
 	f.mu.Lock()
@@ -223,6 +239,11 @@ func (f *Fabric) RecvCtx(ctx context.Context, to, from, round int) (any, error) 
 	if err := f.check(from, to); err != nil {
 		return nil, err
 	}
+	select {
+	case <-f.closed:
+		return nil, Abort(from, round, "", ErrClosed)
+	default:
+	}
 	q := f.queues[from][to]
 	// Fast path — and drain preference: messages the peer sent before
 	// crashing are still delivered, like buffered TCP data before EOF.
@@ -256,6 +277,8 @@ func (f *Fabric) RecvCtx(ctx context.Context, to, from, round int) (any, error) 
 		return nil, Abort(from, round, "", ctx.Err())
 	case <-timerC:
 		return nil, Abort(from, round, "", ErrTimeout)
+	case <-f.closed:
+		return nil, Abort(from, round, "", ErrClosed)
 	}
 }
 

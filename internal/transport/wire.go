@@ -6,7 +6,7 @@ import (
 	"groupranking/internal/wirecodec"
 )
 
-// Wire codecs for the transport's own frames. The TCP fabrics used to
+// Wire codecs for the transport's own frames. The TCP meshes used to
 // run one gob encoder/decoder pair per connection; every stream now
 // carries self-contained wirecodec frames, so a reconnecting link has
 // no encoder state to resynchronise and a frame captured in the
@@ -50,25 +50,9 @@ func init() {
 			return c, nil
 		})
 
-	wirecodec.Register(wirecodec.IDRangeTransport+2, "tcp envelope",
-		[]any{envelope{}},
-		func(dst []byte, v any) ([]byte, error) {
-			e := v.(envelope)
-			dst = wirecodec.AppendI64(dst, int64(e.Round))
-			dst = wirecodec.AppendI64(dst, int64(e.Bytes))
-			return wirecodec.AppendValue(dst, e.Payload)
-		},
-		func(data []byte) (any, error) {
-			r := wirecodec.NewReader(data)
-			var e envelope
-			e.Round = r.Int()
-			e.Bytes = r.Int()
-			e.Payload = r.Value()
-			if err := r.Finish(); err != nil {
-				return nil, fmt.Errorf("transport: envelope: %w", err)
-			}
-			return e, nil
-		})
+	// IDRangeTransport+2 was the single-session TCP envelope, retired
+	// when every plain mesh moved onto the SessionMux. The id stays
+	// unused so a frame from an old binary fails as an unknown type.
 
 	wirecodec.Register(wirecodec.IDRangeTransport+3, "recovery envelope",
 		[]any{renv{}},

@@ -86,7 +86,7 @@ func TestInvalidCurveKeyShareAbortsOverTCP(t *testing.T) {
 		i := i
 		go func() {
 			defer wg.Done()
-			fab, err := transport.NewTCPFabric(addrs, i, 20*time.Second)
+			fab, err := transport.NewTCPSession(addrs, i, 20*time.Second, nil)
 			if err != nil {
 				errs[i] = err
 				if i != 0 {

@@ -213,7 +213,7 @@ func TestProtocolOverRealTCP(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fab, err := transport.NewTCPFabric(addrs, me, 20*time.Second)
+			fab, err := transport.NewTCPSession(addrs, me, 20*time.Second, nil)
 			if err != nil {
 				errs[me] = err
 				return

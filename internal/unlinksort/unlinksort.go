@@ -183,7 +183,7 @@ type (
 var _wireOnce sync.Once
 
 // RegisterWire registers every type this protocol sends over a
-// serialising transport (transport.TCPFabric). Safe to call repeatedly;
+// serialising transport (the TCP meshes). Safe to call repeatedly;
 // in-memory fabrics do not need it.
 func RegisterWire() {
 	_wireOnce.Do(func() {

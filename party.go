@@ -21,10 +21,11 @@ import (
 // complete three-phase framework over a real TCP mesh. addrs lists
 // every party's listen address with the initiator at addrs[0] and
 // participant j at addrs[j]; each process listens on its own slot and
-// dials the rest (gob-framed full mesh). Before any crypto is spent the
-// parties run a session-establishment round confirming they agree on
-// the group, bit widths, k and sorter — a misconfigured party surfaces
-// as a typed *AbortError with cause ErrSessionMismatch, not as garbage.
+// dials the rest (a wirecodec-framed full mesh). Before any crypto is
+// spent the parties run a session-establishment round confirming they
+// agree on the group, bit widths, k and sorter — a misconfigured party
+// surfaces as a typed *AbortError with cause ErrSessionMismatch, not as
+// garbage.
 //
 // All parties must be started with identical Options (that is what the
 // handshake verifies). A non-empty Options.Seed makes the whole run
@@ -284,8 +285,8 @@ type partyFabric interface {
 }
 
 // runRankParty is the shared deployment harness: it registers the wire
-// types, joins the TCP mesh as endpoint me (the plain fail-fast fabric,
-// or the reconnecting journal-backed one when recovery is on), threads
+// types, joins the TCP mesh as endpoint me (a fail-fast one-session mux,
+// or the reconnecting journal-backed fabric when recovery is on), threads
 // observability and fault injection through, runs the
 // session-establishment handshake and then this party's role, and
 // reports the endpoint's transport statistics.
@@ -309,11 +310,10 @@ func runRankParty(ctx context.Context, params core.Params, o Options, addrs []st
 		o.Telemetry.SetHealthSource(rfab)
 		fab = rfab
 	} else {
-		tfab, err := transport.NewTCPFabric(addrs, me, o.Timeout)
+		tfab, err := transport.NewTCPSession(addrs, me, o.Timeout, o.Telemetry)
 		if err != nil {
 			return nil, err
 		}
-		tfab.SetTelemetry(o.Telemetry)
 		o.Telemetry.SetHealthSource(tfab)
 		fab = tfab
 	}

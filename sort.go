@@ -132,7 +132,7 @@ func UnlinkableSortParty(ctx context.Context, addrs []string, me int, value uint
 		return 0, err
 	}
 	unlinksort.RegisterWire()
-	fab, err := transport.NewTCPFabric(addrs, me, o.Timeout)
+	fab, err := transport.NewTCPSession(addrs, me, o.Timeout, nil)
 	if err != nil {
 		return 0, err
 	}
